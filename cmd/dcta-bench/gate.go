@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/loadgen"
@@ -24,7 +25,7 @@ func runGate(baselinePath string, seed int64, slackFlag float64, outJSON string)
 		return fmt.Errorf("baseline: %w", err)
 	}
 	opts := loadgen.BaselineOptions(seed)
-	opts.Logf = func(format string, args ...any) { fmt.Printf(format, args...) }
+	opts.Logf = log.New(os.Stdout, "", 0).Printf
 	res, err := loadgen.Run(opts)
 	if err != nil {
 		return fmt.Errorf("gate sweep: %w", err)
@@ -86,7 +87,7 @@ func runClusterGate(clusterPath, singlePath string, seed int64, slackFlag float6
 		return fmt.Errorf("single-node baseline: %w", err)
 	}
 	opts := loadgen.ClusterBaselineOptions(seed)
-	opts.Logf = func(format string, args ...any) { fmt.Printf(format, args...) }
+	opts.Logf = log.New(os.Stdout, "", 0).Printf
 	res, err := loadgen.Run(opts)
 	if err != nil {
 		return fmt.Errorf("cluster gate sweep: %w", err)

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/loadgen"
@@ -92,7 +93,7 @@ func run(addr, scale string, seed int64, levelSpec string, requests, feedbackNth
 	}
 	opts.Shards = shards
 	opts.Addr = addr
-	opts.Logf = func(format string, args ...any) { fmt.Printf(format, args...) }
+	opts.Logf = log.New(os.Stdout, "", 0).Printf
 
 	res, err := loadgen.Run(opts)
 	if err != nil {

@@ -312,8 +312,8 @@ func TestClusterFailoverAndWarmRejoin(t *testing.T) {
 }
 
 // TestClusterMalformedBodyPassthrough: requests the router cannot route by
-// signature go round-robin and the shard owns the 4xx; bad requests must
-// never eject anyone.
+// signature go round-robin and the shard owns the 4xx (an over-limit body is
+// the router's own 400); bad requests must never eject anyone.
 func TestClusterMalformedBodyPassthrough(t *testing.T) {
 	lc := startCluster(t, 3, nil)
 
@@ -321,10 +321,12 @@ func TestClusterMalformedBodyPassthrough(t *testing.T) {
 		[]byte(`{not json`),
 		[]byte(`{}`),
 		[]byte(`{"signature":[]}`),
+		[]byte(`{"signature":[0]} garbage`), // routed by signature, refused by the shard
+		append([]byte(`{"signature":[0]}`), bytes.Repeat([]byte(" "), 8<<20)...), // the router's own 400
 	} {
 		code, resp := post(t, lc.Addr(), "/v1/allocate", body)
 		if code != http.StatusBadRequest {
-			t.Fatalf("body %q: code %d (%s), want 400 from the shard", body, code, resp)
+			t.Fatalf("body %.40q: code %d (%s), want 400", body, code, resp)
 		}
 	}
 	st := lc.Router().Stats()

@@ -3,8 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"math"
+	"os"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // FuzzDecodeGossip throws arbitrary bytes at the gossip wire decoder. The
@@ -127,6 +131,61 @@ func FuzzParseShardMap(f *testing.F) {
 		}
 		if _, err := ParseShardMap(again); err != nil {
 			t.Fatalf("round-trip rejected: %v", err)
+		}
+	})
+}
+
+// FuzzPeekSignature holds the router's signature peek to encoding/json:
+// whenever json.Unmarshal reads a non-empty signature from a body, the peek
+// returns the same slice bit for bit — into fresh storage and into storage
+// that held an earlier signature. Other bodies may route anywhere (the shard
+// owns their 400), but must not panic the router.
+func FuzzPeekSignature(f *testing.F) {
+	// A dcta-rw body cut to two feature rows, small enough to minimize fast.
+	realBody, err := os.ReadFile("../serve/testdata/allocate_dcta.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var req serve.AllocateRequest
+	if err := json.Unmarshal(realBody, &req); err != nil {
+		f.Fatal(err)
+	}
+	req.Features = req.Features[:2]
+	seed, err := json.Marshal(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	for _, s := range []string{
+		`{"signature":[1]}`, "{\"signature\":[1,2]} trailing", `{"allocator":"crl","signature":[0.5]}`,
+		`{"SIGNATURE":[1]}`, `{"ſignature":[2]}`, `{"sig\u006eature":[3]}`, `{"sıgnature":[1]}`,
+		`{"signature":[1],"signature":[2,3]}`, `{"signature":[1,2,3],"signature":[null]}`,
+		`{"signature":[1,2],"signature":null}`, `{"signature":[null,1]}`, `{"signature":[-0]}`,
+		`{"signature":[1e400]}`, `{"signature":[1],"features":[[1e400]]}`,
+		`{"features":[[1,"]",{"signature":[9]}]],"signature":[4]}`, `{"x":"\"signature\":[5]","signature":[6]}`,
+		`{"signature":[+1]}`, `{"signature":[01]}`, `{"signature":"1"}`, `{"signature":[1]`,
+		`null`, `[]`, `{}`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want struct {
+			Signature []float64 `json:"signature"`
+		}
+		if json.Unmarshal(body, &want) != nil || len(want.Signature) == 0 {
+			serve.PeekSignature(body, nil)
+			return
+		}
+		for _, dst := range [][]float64{nil, {7, 7, 7, 7, 7, 7, 7, 7}} {
+			got, ok := serve.PeekSignature(body, dst)
+			if !ok || len(got) != len(want.Signature) {
+				t.Fatalf("%q: peek %v ok=%v, encoding/json %v", body, got, ok, want.Signature)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want.Signature[i]) {
+					t.Fatalf("%q: peek %v, encoding/json %v", body, got, want.Signature)
+				}
+			}
 		}
 	})
 }

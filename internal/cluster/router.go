@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -274,9 +273,7 @@ type Router struct {
 type proxyWS struct {
 	body  []byte
 	frame []byte
-	sig   struct {
-		Signature []float64 `json:"signature"`
-	}
+	sig   []float64
 }
 
 // NewRouter builds a router over the deployment's environment store (every
@@ -690,9 +687,9 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	ws := r.wsPool.Get().(*proxyWS)
 	defer r.wsPool.Put(ws)
 	var err error
-	ws.body, err = readBody(ws.body[:0], http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
+	ws.body, err = serve.ReadBody(ws.body[:0], req, r.cfg.MaxBodyBytes)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "read body: "+err.Error())
+		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Routing needs only the signature; everything else passes through
@@ -700,9 +697,9 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	// JSON) routes round-robin and lets the shard own the 400 — the router
 	// never duplicates serve's validation.
 	key := -1
-	ws.sig.Signature = ws.sig.Signature[:0]
-	if json.Unmarshal(ws.body, &ws.sig) == nil && len(ws.sig.Signature) > 0 {
-		if k, _, err := r.store.NearestIndex(ws.sig.Signature); err == nil {
+	var ok bool
+	if ws.sig, ok = serve.PeekSignature(ws.body, ws.sig); ok {
+		if k, _, err := r.store.NearestIndex(ws.sig); err == nil {
 			key = k
 		}
 	}
@@ -716,23 +713,6 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
 	release()
-}
-
-// readBody appends the reader's contents onto dst.
-func readBody(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
 }
 
 // ShardMap renders the wire-level cluster description.

@@ -7,10 +7,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/features"
 )
 
 // zeroAllocServer warms cluster 0 and returns the server plus a manually-held
@@ -99,4 +102,83 @@ func TestWarmAllocateZeroAllocsDCTA(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("warm DCTA allocate: %.2f allocs/op, want 0", avg)
 	}
+}
+
+// TestWarmAllocateZeroAllocsDecode extends the contract to the request
+// decode: a dcta-rw body (5-float signature, 24×12 feature matrix) and a
+// crl-read body (signature and allocator name) decode into a warmed pooled
+// workspace, and the router's signature peek reads them, without allocating.
+func TestWarmAllocateZeroAllocsDecode(t *testing.T) {
+	s := newTestServer(t, fastConfig())
+	ws := s.getWS()
+	defer s.putWS(ws)
+	dcta := realAllocateBody(t)
+	if err := decodeAllocate(dcta, &ws.req); err != nil {
+		t.Fatal(err)
+	}
+	if len(ws.req.Signature) != 5 || len(ws.req.Features) != 24 || len(ws.req.Features[23]) != features.Dim {
+		t.Fatalf("decoded %d-float signature, %d feature rows", len(ws.req.Signature), len(ws.req.Features))
+	}
+	crl := []byte(`{"signature":[-0.086,0.65,-0.169,0.249,-0.183],"allocator":"crl"}`)
+	var sig []float64
+	for _, body := range [][]byte{dcta, crl} {
+		avg := testing.AllocsPerRun(200, func() {
+			if err := decodeAllocate(body, &ws.req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("allocate decode of %.30q...: %.2f allocs/op, want 0", body, avg)
+		}
+		sig, _ = PeekSignature(body, sig)
+		avg = testing.AllocsPerRun(200, func() {
+			var ok bool
+			if sig, ok = PeekSignature(body, sig); !ok {
+				t.Fatal("peek found no signature")
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("signature peek of %.30q...: %.2f allocs/op, want 0", body, avg)
+		}
+	}
+	if ws.req.Allocator != "crl" || len(ws.req.Features) != 0 {
+		t.Fatalf("crl body decoded as %+v", ws.req)
+	}
+}
+
+// BenchmarkDecodeAllocate compares the decoders on a dcta-rw body: the
+// json.Decoder the allocate handler used before the wire scanner, the
+// scanner itself, and the router's signature peek.
+func BenchmarkDecodeAllocate(b *testing.B) {
+	body := realAllocateBody(b)
+	var req AllocateRequest
+	b.Run("encoding-json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			req.Signature, req.Features, req.Allocator = req.Signature[:0], req.Features[:0], ""
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("wire", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := decodeAllocate(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("peek", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		var sig []float64
+		for i := 0; i < b.N; i++ {
+			sig, _ = PeekSignature(body, sig)
+		}
+	})
 }

@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"time"
 )
 
 // maxBodyBytes bounds request bodies; feature matrices for paper-scale
 // problems are well under a megabyte.
 const maxBodyBytes = 8 << 20
+
+var errBodyTooLarge = errors.New("read body: request body too large")
 
 // HTTPOptions tunes the HTTP front-end.
 type HTTPOptions struct {
@@ -64,22 +68,13 @@ func newHandler(s *Server, opts HTTPOptions, extra map[string]http.HandlerFunc) 
 	opts = opts.withDefaults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/allocate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-			return
-		}
-		// The allocate hot path decodes into and answers from a pooled
-		// workspace: the request's slice buffers, the response and every
-		// scratch the pipeline touches are recycled across requests.
+		// The allocate hot path reads the body into and decodes it into a
+		// pooled workspace: the body buffer, the request's slices, the
+		// response and every scratch the pipeline touches are recycled
+		// across requests.
 		ws := s.getWS()
 		defer s.putWS(ws)
-		ws.req.Signature = ws.req.Signature[:0]
-		ws.req.Features = ws.req.Features[:0]
-		ws.req.Allocator = ""
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ws.req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		if !readRequest(w, r, ws, func(body []byte) error { return decodeAllocate(body, &ws.req) }) {
 			return
 		}
 		if err := s.AllocateInto(r.Context(), ws.req, ws); err != nil {
@@ -89,9 +84,19 @@ func newHandler(s *Server, opts HTTPOptions, extra map[string]http.HandlerFunc) 
 		writeJSON(w, http.StatusOK, &ws.resp)
 	})
 	mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(ctx context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
-			return s.Feedback(ctx, req)
-		})
+		var req FeedbackRequest
+		ws := s.getWS()
+		ok := readRequest(w, r, ws, func(body []byte) error { return decodeFeedback(body, &req) })
+		s.putWS(ws) // req owns its slices; only the body buffer was borrowed
+		if !ok {
+			return
+		}
+		resp, err := s.Feedback(r.Context(), req)
+		if err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -147,26 +152,50 @@ func withTimeout(next http.Handler, d time.Duration) http.Handler {
 	})
 }
 
-// handleJSON decodes a POSTed request, runs fn, and encodes its response.
-func handleJSON[Req any, Resp any](w http.ResponseWriter, r *http.Request,
-	fn func(context.Context, Req) (Resp, error)) {
+// readRequest reads a POST body into ws.body, at most maxBodyBytes of it,
+// and decodes it. It answers 405 and 400 itself and reports whether the
+// handler goes on.
+func readRequest(w http.ResponseWriter, r *http.Request, ws *allocWS, decode func([]byte) error) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
+		return false
 	}
-	var req Req
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	var err error
+	if ws.body, err = ReadBody(ws.body[:0], r, maxBodyBytes); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	if err := decode(ws.body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return
+		return false
 	}
-	resp, err := fn(r.Context(), req)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
+	return true
+}
+
+// ReadBody appends r's body onto dst, reading at most limit bytes; a longer
+// body is an error. The cluster router reads proxied bodies with it too.
+func ReadBody(dst []byte, r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n > limit {
+		return dst, errBodyTooLarge
+	} else if n > 0 {
+		dst = slices.Grow(dst, int(n)+1) // +1: room to read EOF without growing
 	}
-	writeJSON(w, http.StatusOK, resp)
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Body.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if int64(len(dst)) > limit {
+			return dst, errBodyTooLarge
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, fmt.Errorf("read body: %w", err)
+		}
+	}
 }
 
 func statusFor(err error) int {

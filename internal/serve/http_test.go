@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -120,6 +122,45 @@ func TestHTTPErrorMapping(t *testing.T) {
 		map[string]any{"signature": []float64{0}, "bogus": 1}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d", code)
+	}
+
+	// One JSON value per body: trailing data is a 400 on both decoding
+	// endpoints, while the newline json.Encoder appends is fine.
+	fb, err := json.Marshal(FeedbackRequest{
+		Signature:  []float64{0},
+		Features:   mkFeatures(clusterImportance(0), 0.05, 9),
+		Allocation: []int{0, 0, 1, -1, -1, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path, body string
+		want       int
+		chunked    bool // no Content-Length: the limit applies while reading
+	}{
+		{"/v1/allocate", `{"signature":[1]} garbage`, http.StatusBadRequest, false},
+		{"/v1/allocate", `{"signature":[1]}{}`, http.StatusBadRequest, false},
+		{"/v1/allocate", "{\"signature\":[1]}\n", http.StatusOK, false},
+		{"/v1/feedback", string(fb) + ` garbage`, http.StatusBadRequest, false},
+		{"/v1/feedback", string(fb) + "\n", http.StatusOK, false},
+		// Bodies over the size limit are refused before decoding.
+		{"/v1/allocate", `{"signature":[1]}` + strings.Repeat(" ", maxBodyBytes), http.StatusBadRequest, false},
+		{"/v1/allocate", `{"signature":[1]}` + strings.Repeat(" ", maxBodyBytes), http.StatusBadRequest, true},
+		{"/v1/allocate", `{"signature":[1]}`, http.StatusOK, true},
+	} {
+		var body io.Reader = strings.NewReader(tc.body)
+		if tc.chunked {
+			body = io.MultiReader(body)
+		}
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("POST %s %.40q = %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
+		}
 	}
 
 	// Validation error surfaces as 400.

@@ -350,12 +350,13 @@ type AllocateResponse struct {
 	LatencyNanos int64 `json:"latency_ns"`
 }
 
-// allocWS is the per-request workspace for the warm allocate path: the JSON
-// decode target, the response, and every scratch buffer the pipeline needs,
-// pooled so a steady-state warm request (cache hit, batch-1) performs zero
-// allocations end to end. The embedded batchWaiter carries the request
-// through the coalescer.
+// allocWS is the per-request workspace for the warm allocate path: the
+// request body and its decode target, the response, and every scratch
+// buffer the pipeline needs, pooled so a steady-state warm request (cache
+// hit, batch-1) performs zero allocations end to end. The embedded
+// batchWaiter carries the request through the coalescer.
 type allocWS struct {
+	body []byte           // HTTP request body
 	req  AllocateRequest  // HTTP decode target (slice capacity reused)
 	resp AllocateResponse // Allocation backing array reused
 
